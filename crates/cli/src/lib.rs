@@ -10,8 +10,8 @@
 //! tgq can-know <file> <x> <y> [--witness]
 //! tgq can-know-f <file> <x> <y>
 //! tgq figure <2.1|2.2|3.1|4.1|4.2|5.1|6.1>
-//! tgq monitor <graph> <policy> <trace> [--journal <file>] [--batch] [--log <dir>]
-//! tgq replay <graph> <policy> <journal|log-dir> [--dump-state <file>]
+//! tgq monitor <graph> <policy> <trace> [--batch] [--log <dir>]
+//! tgq replay <graph> <policy> <log-dir> [--dump-state <file>]
 //! tgq serve <graph> <policy> --listen <addr>|--unix <path>   the TGP1 daemon
 //! tgq client --connect <addr>|--unix <path> [--script <file>]
 //! tgq at <log-dir> <epoch> <query...>     query a reconstructed historical state
@@ -33,7 +33,7 @@
 //! `TGQ_JOBS` environment variable if set, else the machine's available
 //! parallelism, and `--jobs 1` is exactly the sequential path. Parallel
 //! output is byte-identical at any job count (see `tg-par`).
-//! `tgq trace` replays a rule trace through the journaled monitor with
+//! `tgq trace` replays a rule trace through the monitor with
 //! an attached incremental index and emits the captured event stream as
 //! Chrome `trace_event` JSON (load it in `chrome://tracing` or
 //! <https://ui.perfetto.dev>) or JSONL.
@@ -44,16 +44,15 @@
 //!
 //! Graph files use the `tg-graph` text format (`subject`/`object`/`edge`
 //! lines); vertices are referred to by name. Rule traces use the
-//! `tg-rules` codec (one rule per line); journals are the `TGJ1`
-//! write-ahead format produced by `tgq monitor --journal`.
+//! `tg-rules` codec (one rule per line).
 //!
-//! `tgq monitor --log <dir>` additionally commits every journaled event
+//! `tgq monitor --log <dir>` commits every event the monitor records
 //! through the hash-chained `tg-log` commit log in `<dir>`, writing an
 //! epoch snapshot every `--snap-interval <n>` commits (default 64;
 //! `0` disables). Rerunning against the same directory *continues* the
 //! logged history: the prior state is recovered from the newest valid
-//! snapshot plus a verified chain-suffix replay. `tgq replay` accepts
-//! either a `TGJ1` journal file or a commit-log directory and prints a
+//! snapshot plus a verified chain-suffix replay. `tgq replay` takes a
+//! commit-log directory (any other path fails closed) and prints a
 //! recovery report (snapshot used, records replayed, torn-tail bytes,
 //! chain-verify result). `tgq at` and `tgq diff` reconstruct committed
 //! historical states by epoch, opening the log **read-only**: a query
@@ -135,7 +134,7 @@ pub struct CommandSpec {
     pub name: &'static str,
     /// Positional arguments, rendered verbatim (empty for none).
     pub args: &'static str,
-    /// Optional flags with their value shapes, e.g. `"--journal <file>"`;
+    /// Optional flags with their value shapes, e.g. `"--log <dir>"`;
     /// each renders bracketed after the positionals.
     pub flags: &'static [&'static str],
 }
@@ -215,16 +214,11 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "monitor",
         args: "<graph> <policy> <trace>",
-        flags: &[
-            "--journal <file>",
-            "--batch",
-            "--log <dir>",
-            "--snap-interval <n>",
-        ],
+        flags: &["--batch", "--log <dir>", "--snap-interval <n>"],
     },
     CommandSpec {
         name: "replay",
-        args: "<graph> <policy> <journal|log-dir>",
+        args: "<graph> <policy> <log-dir>",
         flags: &["--dump-state <file>"],
     },
     CommandSpec {
@@ -789,7 +783,6 @@ fn dispatch(
         }
         "monitor" => {
             let (batch, rest) = split_flag(&rest, "--batch");
-            let (journal_out, rest) = split_opt(&rest, "--journal")?;
             let (log_dir, rest) = split_opt(&rest, "--log")?;
             let (snap_interval, rest) = split_opt(&rest, "--snap-interval")?;
             let [graph_path, policy_path, trace_path] = rest.as_slice() else {
@@ -815,7 +808,7 @@ fn dispatch(
                 .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
             let trace = tg_rules::codec::decode_derivation(&trace_text)
                 .map_err(|e| format!("{trace_path}: {e}"))?;
-            // With --log, the monitor commits every journaled event
+            // With --log, the monitor commits every recorded event
             // through the hash-chained log in <dir>; an existing chain
             // there is recovered and continued (its genesis must match
             // the seed files, so a directory from another system is
@@ -861,7 +854,6 @@ fn dispatch(
                     }
                 }
             };
-            monitor.enable_journal();
             if batch {
                 match monitor.try_apply_all(&trace.steps) {
                     Ok(effects) => {
@@ -913,16 +905,6 @@ fn dispatch(
                 }
                 let _ = writeln!(out, "monitor degraded: de jure rules now fail closed");
             }
-            if let Some(path) = journal_out {
-                let journal = monitor.journal().expect("journaling is enabled");
-                std::fs::write(path, journal.as_bytes())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "journal written to {path} ({} records)",
-                    journal.records()
-                );
-            }
             if let Some(log) = &log {
                 log.persist().map_err(|e| e.to_string())?;
                 let _ = writeln!(
@@ -939,7 +921,7 @@ fn dispatch(
         "client" => serve::cmd_client(&rest, out),
         "replay" => {
             let (dump_state, rest) = split_opt(&rest, "--dump-state")?;
-            let [graph_path, policy_path, journal_path] = rest.as_slice() else {
+            let [graph_path, policy_path, log_dir] = rest.as_slice() else {
                 return Err(usage_of(command));
             };
             let g = load(graph_path)?;
@@ -947,95 +929,60 @@ fn dispatch(
                 .map_err(|e| format!("cannot read {policy_path}: {e}"))?;
             let levels =
                 parse_policy(&policy_text, &g).map_err(|e| format!("{policy_path}: {e}"))?;
-            let is_log_dir = std::fs::metadata(journal_path)
-                .map(|m| m.is_dir())
-                .unwrap_or(false);
-            let monitor = if is_log_dir {
-                // A tg-log commit-log directory: recover through the
-                // hash chain, pinning its genesis to these seed files.
-                let store = tg_log::DirStore::open(*journal_path).map_err(|e| e.to_string())?;
-                let genesis = tg_log::seed_digest(&g, &levels);
-                let (_, monitor, report) = tg_log::CommitLog::open(
-                    Box::new(store),
-                    Box::new(CombinedRestriction),
-                    tg_log::LogConfig::default(),
-                    Some(genesis),
-                )
-                .map_err(|e| format!("{journal_path}: {e}"))?;
-                let _ = writeln!(out, "recovered: {} records replayed", report.replayed);
-                let _ = writeln!(out, "recovery report:");
-                let _ = writeln!(
-                    out,
-                    "  chain verify: ok (genesis {})",
-                    tg_log::hex16(report.genesis)
-                );
-                let _ = writeln!(
-                    out,
-                    "  snapshot used: epoch {} ({} rejected)",
-                    report.snapshot_epoch, report.snapshots_rejected
-                );
-                let _ = writeln!(out, "  records replayed: {}", report.replayed);
-                match report.torn {
-                    Some(t) => {
-                        let _ = writeln!(out, "  torn tail: {} bytes truncated", t.dropped_bytes);
-                    }
-                    None => {
-                        let _ = writeln!(out, "  torn tail: none");
-                    }
+            // Checked before DirStore::open, which would create a
+            // missing directory: a file or a typo fails closed.
+            if !std::path::Path::new(log_dir).is_dir() {
+                return Err(CliError::Fail(format!(
+                    "{log_dir}: not a directory: replay needs a commit-log directory \
+                     (written by `tgq monitor --log` or `tgq serve --log`)"
+                )));
+            }
+            // Recover through the hash chain, pinning its genesis to
+            // these seed files.
+            let store = tg_log::DirStore::open(*log_dir).map_err(|e| e.to_string())?;
+            let genesis = tg_log::seed_digest(&g, &levels);
+            let (_, monitor, report) = tg_log::CommitLog::open(
+                Box::new(store),
+                Box::new(CombinedRestriction),
+                tg_log::LogConfig::default(),
+                Some(genesis),
+            )
+            .map_err(|e| format!("{log_dir}: {e}"))?;
+            let _ = writeln!(out, "recovered: {} records replayed", report.replayed);
+            let _ = writeln!(out, "recovery report:");
+            let _ = writeln!(
+                out,
+                "  chain verify: ok (genesis {})",
+                tg_log::hex16(report.genesis)
+            );
+            let _ = writeln!(
+                out,
+                "  snapshot used: epoch {} ({} rejected)",
+                report.snapshot_epoch, report.snapshots_rejected
+            );
+            let _ = writeln!(out, "  records replayed: {}", report.replayed);
+            match report.torn {
+                Some(t) => {
+                    let _ = writeln!(out, "  torn tail: {} bytes truncated", t.dropped_bytes);
                 }
-                let _ = writeln!(
-                    out,
-                    "  open batch: {}",
-                    if report.discarded_open_batch {
-                        "discarded"
-                    } else {
-                        "none"
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "  recovered epoch: {} (base {})",
-                    report.end_epoch, report.base_epoch
-                );
-                monitor
-            } else {
-                let bytes = std::fs::read(journal_path)
-                    .map_err(|e| format!("cannot read {journal_path}: {e}"))?;
-                let (monitor, report) = tg_hierarchy::journal::recover(
-                    g,
-                    levels,
-                    Box::new(CombinedRestriction),
-                    &bytes,
-                )
-                .map_err(|e| format!("{journal_path}: {e}"))?;
-                let _ = writeln!(out, "recovered: {} records replayed", report.replayed);
-                let _ = writeln!(out, "recovery report:");
-                let _ = writeln!(out, "  chain verify: n/a (TGJ1 journal, crc32 per record)");
-                let _ = writeln!(out, "  snapshot used: none (full replay from seed)");
-                let _ = writeln!(out, "  records replayed: {}", report.replayed);
-                match report.torn {
-                    Some(t) => {
-                        let _ = writeln!(
-                            out,
-                            "  torn tail: {} bytes truncated after {} intact records",
-                            t.dropped_bytes, t.valid_records
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "  torn tail: none");
-                    }
+                None => {
+                    let _ = writeln!(out, "  torn tail: none");
                 }
-                let _ = writeln!(
-                    out,
-                    "  open batch: {}",
-                    if report.discarded_open_batch {
-                        "discarded"
-                    } else {
-                        "none"
-                    }
-                );
-                monitor
-            };
+            }
+            let _ = writeln!(
+                out,
+                "  open batch: {}",
+                if report.discarded_open_batch {
+                    "discarded"
+                } else {
+                    "none"
+                }
+            );
+            let _ = writeln!(
+                out,
+                "  recovered epoch: {} (base {})",
+                report.end_epoch, report.base_epoch
+            );
             let stats = monitor.stats();
             let _ = writeln!(
                 out,
@@ -1439,12 +1386,11 @@ fn dispatch(
             let trace = tg_rules::codec::decode_derivation(&trace_text)
                 .map_err(|e| format!("{trace_path}: {e}"))?;
             let session = session.expect("run_full opens a session for trace");
-            // The instrumented pipeline: journaled monitor, incremental
-            // index observing every committed delta, one audit at the
-            // end — the same shape as `watch`, with event capture on.
+            // The instrumented pipeline: monitor, incremental index
+            // observing every committed delta, one audit at the end —
+            // the same shape as `watch`, with event capture on.
             let index = tg_inc::SharedIndex::new(&g, &levels, &CombinedRestriction);
             let mut monitor = tg_hierarchy::Monitor::new(g, levels, Box::new(CombinedRestriction));
-            monitor.enable_journal();
             monitor.attach_observer(index.observer());
             let mut refused = 0usize;
             for rule in &trace.steps {

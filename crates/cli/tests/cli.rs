@@ -132,35 +132,6 @@ fn take_line(actor: usize, via: usize, target: usize, rights: tg_graph::Rights) 
 }
 
 #[test]
-fn monitor_and_replay_round_trip() {
-    use tg_graph::Rights;
-    let graph = temp_file("mon.tg", HIER_GRAPH);
-    let policy = temp_file("mon.pol", HIER_POLICY);
-    // lo takes (w to hi): write-up, permitted. lo takes (r to hi): read-up,
-    // denied. Both must reach the journal.
-    let trace = temp_file(
-        "mon.trace",
-        &format!(
-            "{}\n{}\n",
-            take_line(1, 2, 0, Rights::W),
-            take_line(1, 2, 0, Rights::R)
-        ),
-    );
-    let journal = std::env::temp_dir()
-        .join(format!("tgq-test-{}-mon.journal", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let out = run(&["monitor", &graph, &policy, &trace, "--journal", &journal]).unwrap();
-    assert!(out.contains("1 permitted, 1 denied, 0 malformed, 0 refused"));
-    assert!(out.contains("audit clean"));
-    assert!(out.contains("journal written"));
-
-    let out = run(&["replay", &graph, &policy, &journal]).unwrap();
-    assert!(out.contains("recovered: 2 records replayed"));
-    assert!(out.contains("1 permitted, 1 denied, 0 malformed, 0 refused"));
-}
-
-#[test]
 fn monitor_batch_rolls_back() {
     use tg_graph::Rights;
     let graph = temp_file("batch.tg", HIER_GRAPH);
@@ -176,45 +147,6 @@ fn monitor_batch_rolls_back() {
     let out = run(&["monitor", &graph, &policy, &trace, "--batch"]).unwrap();
     assert!(out.contains("batch rolled back at rule 1"));
     assert!(out.contains("0 permitted, 1 denied, 0 malformed, 0 refused"));
-}
-
-#[test]
-fn replay_survives_torn_tails_and_fails_closed_on_corruption() {
-    use tg_graph::Rights;
-    let graph = temp_file("tear.tg", HIER_GRAPH);
-    let policy = temp_file("tear.pol", HIER_POLICY);
-    let trace = temp_file(
-        "tear.trace",
-        &format!(
-            "{}\n{}\n",
-            take_line(1, 2, 0, Rights::W),
-            take_line(1, 2, 0, Rights::R)
-        ),
-    );
-    let journal = std::env::temp_dir()
-        .join(format!("tgq-test-{}-tear.journal", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    run(&["monitor", &graph, &policy, &trace, "--journal", &journal]).unwrap();
-
-    // Torn tail: drop the last few bytes — recovery truncates and reports.
-    let bytes = std::fs::read(&journal).unwrap();
-    let torn_path = temp_file("tear.torn", "");
-    std::fs::write(&torn_path, &bytes[..bytes.len() - 5]).unwrap();
-    let out = run(&["replay", &graph, &policy, &torn_path]).unwrap();
-    // The torn partial line (29 bytes survive of the 34-byte record) is
-    // dropped whole; only the intact prefix replays.
-    assert!(out.contains("torn tail: 29 bytes truncated after 1 intact records"));
-    assert!(out.contains("recovered: 1 records replayed"));
-
-    // Mid-log corruption: damage the first record — replay refuses.
-    let mut damaged = bytes.clone();
-    let first_record = damaged.iter().position(|&b| b == b'\n').unwrap() + 12;
-    damaged[first_record] ^= 0x20;
-    let bad_path = temp_file("tear.bad", "");
-    std::fs::write(&bad_path, &damaged).unwrap();
-    let err = run(&["replay", &graph, &policy, &bad_path]).unwrap_err();
-    assert!(err.contains("corruption"), "got: {err}");
 }
 
 /// Fresh directory path for a commit log (removed if a previous run
@@ -419,16 +351,24 @@ fn monitor_and_replay_error_paths() {
     let policy = temp_file("err2.pol", HIER_POLICY);
     // Unreadable inputs.
     assert!(run(&["monitor", &graph, &policy, "/nonexistent/trace"]).is_err());
-    assert!(run(&["replay", &graph, &policy, "/nonexistent/journal"]).is_err());
-    // Unparsable trace and journal.
+    // Unparsable trace.
     let bad_trace = temp_file("err2.trace", "levitate 0 1 2 x1\n");
     assert!(run(&["monitor", &graph, &policy, &bad_trace]).is_err());
-    let bad_journal = temp_file("err2.journal", "not a journal\n");
-    let err = run(&["replay", &graph, &policy, &bad_journal]).unwrap_err();
-    assert!(err.contains("TGJ1"), "got: {err}");
-    // A dangling --journal flag.
+    // Replay takes only a commit-log directory: a file, or a path that
+    // does not exist (never created on the way), fails closed.
+    let not_a_dir = temp_file("err2.chain", "not a commit log\n");
+    for path in [not_a_dir.as_str(), "/nonexistent/log-dir"] {
+        match run_full(&["replay", &graph, &policy, path]) {
+            Err(tg_cli::CliError::Fail(msg)) => {
+                assert!(msg.contains("commit-log directory"), "got: {msg}")
+            }
+            other => panic!("expected failure, got {other:?}"),
+        }
+    }
+    assert!(!std::path::Path::new("/nonexistent/log-dir").exists());
+    // A dangling --log flag.
     let trace = temp_file("err2.ok-trace", "");
-    assert!(run(&["monitor", &graph, &policy, &trace, "--journal"]).is_err());
+    assert!(run(&["monitor", &graph, &policy, &trace, "--log"]).is_err());
     // Bad arity.
     assert!(run(&["monitor", &graph, &policy]).is_err());
     assert!(run(&["replay", &graph]).is_err());
@@ -502,10 +442,7 @@ fn usage_lines_mention_every_accepted_flag() {
         ("can-share", &["--witness"]),
         ("can-know", &["--witness"]),
         ("can-steal", &["--witness"]),
-        (
-            "monitor",
-            &["--journal", "--batch", "--log", "--snap-interval"],
-        ),
+        ("monitor", &["--batch", "--log", "--snap-interval"]),
         ("lint", &["--format", "--fix", "--deny"]),
         ("trace", &["--out", "--format"]),
         (

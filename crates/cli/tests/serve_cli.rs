@@ -23,13 +23,24 @@ fn temp_file(name: &str, contents: &str) -> String {
 const GRAPH: &str = "subject s1\nsubject s2\nobject doc\nedge s1 -> s2 : t\nedge s2 -> doc : r\n";
 const POLICY: &str = "level only\nassign s1 only\nassign s2 only\nassign doc only\n";
 
-fn fixture() -> (String, String) {
-    (temp_file("g.tg", GRAPH), temp_file("p.pol", POLICY))
+/// Writes the graph and policy into a directory of the calling test's
+/// own. Cargo runs tests as threads of one process, so one shared path
+/// would be truncated and rewritten by one test while another test's
+/// daemon is still parsing it.
+fn fixture(test: &str) -> (String, String) {
+    let dir = std::env::temp_dir().join(format!("tgq-serve-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fixture dir");
+    let write = |name: &str, contents: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).expect("fixture file");
+        path.to_string_lossy().into_owned()
+    };
+    (write("g.tg", GRAPH), write("p.pol", POLICY))
 }
 
 #[test]
 fn serve_requires_exactly_one_bind() {
-    let (g, p) = fixture();
+    let (g, p) = fixture("serve_requires_exactly_one_bind");
     // Neither --listen nor --unix.
     let err = run_full(&["serve", &g, &p]).unwrap_err();
     assert!(matches!(err, CliError::Usage(_)), "{err}");
@@ -50,7 +61,7 @@ fn serve_requires_exactly_one_bind() {
 
 #[test]
 fn serve_rejects_bad_flag_values() {
-    let (g, p) = fixture();
+    let (g, p) = fixture("serve_rejects_bad_flag_values");
     let err = run_full(&[
         "serve",
         &g,
@@ -89,7 +100,7 @@ fn serve_rejects_bad_flag_values() {
 
 #[test]
 fn serve_fails_closed_on_an_unbindable_address() {
-    let (g, p) = fixture();
+    let (g, p) = fixture("serve_fails_closed_on_an_unbindable_address");
     let err = run_full(&["serve", &g, &p, "--listen", "not-an-address"]).unwrap_err();
     // An input failure, not a usage error: exit 1, and the daemon never
     // started (nothing to clean up, nothing listening).
@@ -100,7 +111,7 @@ fn serve_fails_closed_on_an_unbindable_address() {
 #[cfg(unix)]
 #[test]
 fn serve_refuses_an_occupied_unix_socket_path() {
-    let (g, p) = fixture();
+    let (g, p) = fixture("serve_refuses_an_occupied_unix_socket_path");
     let sock = temp_file("occupied.sock", "not a socket");
     let err = run_full(&["serve", &g, &p, "--unix", &sock]).unwrap_err();
     assert!(matches!(err, CliError::Fail(_)), "{err}");
@@ -190,7 +201,7 @@ fn client_fails_closed_against_a_server_that_frames_garbage() {
 #[cfg(unix)]
 #[test]
 fn serve_client_replay_round_trip() {
-    let (g, p) = fixture();
+    let (g, p) = fixture("serve_client_replay_round_trip");
     let base = std::env::temp_dir().join(format!("tgq-serve-rt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();

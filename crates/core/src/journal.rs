@@ -1,25 +1,18 @@
-//! Write-ahead audit journal and crash recovery.
+//! The monitor's event stream: one [`JournalEvent`] per attempted rule,
+//! its payload codec, and re-verifying replay.
 //!
-//! The journal is an append-only text log of every rule the monitor was
-//! *asked* to apply — permitted, denied, malformed, or refused — written
-//! **before** the corresponding graph mutation (write-ahead discipline).
-//! Together with the seed graph it is a complete, tamper-evident record
-//! of the monitor's history: [`recover`] replays it onto the seed and
-//! reproduces the live monitor's graph, level assignment, rule log and
-//! statistics exactly.
+//! Every rule the monitor is *asked* to apply — permitted, denied,
+//! malformed, or refused — becomes an event handed to the attached
+//! [`EventSink`](crate::EventSink) **before** the corresponding graph
+//! mutation (write-ahead discipline). The event stream is in memory
+//! only; its durable container is the hash-chained `TGL1` commit log in
+//! `tg-log`, which stores one encoded payload per chain record and
+//! recovers by folding the chain through [`replay_events`]. Together
+//! with the seed graph, the events are a complete record of the
+//! monitor's history: replay reproduces the live monitor's graph, level
+//! assignment, rule log and statistics exactly.
 //!
-//! # Format (`TGJ1`)
-//!
-//! The first line is the magic string `TGJ1`. Every following line is one
-//! record:
-//!
-//! ```text
-//! <crc32-hex8> <seq> <payload>
-//! ```
-//!
-//! where `crc32-hex8` is the IEEE CRC-32 of `"<seq> <payload>"` in
-//! lower-case hex, `seq` is the dense 0-based record number, and the
-//! payload is one of:
+//! # Payloads
 //!
 //! ```text
 //! R <outcome> <rule>      single attempt; outcome ∈ permitted|denied|malformed|refused
@@ -32,39 +25,31 @@
 //! Rules use the canonical text codec from
 //! [`tg_rules::codec`].
 //!
-//! # Failure semantics
+//! # Replay semantics
 //!
-//! * **Torn tail** — invalid trailing data with *no* valid record after
-//!   it (the classic crash-mid-write shape). The tail is truncated and
-//!   recovery proceeds, reporting the drop in [`Recovery::torn`].
-//! * **Mid-log corruption** — an invalid or out-of-sequence record with a
-//!   later valid record after it. That cannot be produced by a crash, so
-//!   recovery **fails closed** with [`JournalError::MidLogCorruption`].
-//! * **Open batch at end of log** — a crash mid-batch. The batch never
-//!   committed (no `C`), so its records are discarded, matching the live
-//!   monitor's rollback-on-abort semantics.
-//! * **Divergent replay** — a `permitted`/`A` record whose rule the
-//!   restriction no longer permits (wrong seed graph, tampered journal
-//!   body with a forged CRC). Recovery fails closed with
+//! * **Open batch at end of history** — a crash mid-batch. The batch
+//!   never committed (no `C`), so its events are discarded before replay
+//!   ([`open_batch_start`]), matching the live monitor's
+//!   rollback-on-abort semantics.
+//! * **Impossible order** — a well-formed event in a position no monitor
+//!   produces (`A` outside a batch, `R` inside one, a stray `C`). Replay
+//!   fails closed with [`JournalError::UnexpectedEvent`].
+//! * **Divergent replay** — a `permitted`/`A` event whose rule the
+//!   restriction no longer permits (wrong seed graph, forged record), or
+//!   a refusal that replays differently. Replay fails closed with
 //!   [`JournalError::Diverged`] rather than admit an unauthorized effect.
 //!
-//! Quarantine repairs ([`Monitor::quarantine`]) are *not* journaled:
-//! the journal records rule traffic, and out-of-band tampering — the only
+//! Quarantine repairs ([`Monitor::quarantine`]) are *not* recorded: the
+//! stream records rule traffic, and out-of-band tampering — the only
 //! thing quarantine removes — never entered the graph through a rule, so
 //! replaying onto the untampered seed never re-creates it.
 
 use core::fmt;
 
-use tg_graph::ProtectionGraph;
 use tg_rules::codec::{decode_rule, encode_rule, CodecError};
 use tg_rules::Rule;
 
-use crate::levels::LevelAssignment;
 use crate::monitor::{Monitor, MonitorError};
-use crate::restrict::Restriction;
-
-/// Magic first line of every journal.
-pub const MAGIC: &str = "TGJ1";
 
 /// Outcome tag recorded for an attempted rule application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,7 +91,7 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// One journal record payload.
+/// One event of the monitor's write-ahead stream.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum JournalEvent {
     /// A single (non-batch) attempt and its outcome.
@@ -138,10 +123,9 @@ pub enum JournalEvent {
 }
 
 impl JournalEvent {
-    /// Encodes this event as a `TGJ1` record payload (the part after the
-    /// CRC and sequence number). Public so other log formats — the
-    /// hash-chained commit log in `tg-log` — can carry the exact same
-    /// payloads and share one codec.
+    /// Encodes this event as a one-line text payload — the body of a
+    /// `TGL1` chain record in `tg-log`, after its hashes and sequence
+    /// number.
     pub fn encode_payload(&self) -> String {
         match self {
             JournalEvent::Attempt { outcome, rule } => {
@@ -158,7 +142,7 @@ impl JournalEvent {
         }
     }
 
-    /// Decodes a `TGJ1` record payload (inverse of
+    /// Decodes an event payload (inverse of
     /// [`encode_payload`](JournalEvent::encode_payload)).
     ///
     /// # Errors
@@ -200,116 +184,20 @@ impl JournalEvent {
     }
 }
 
-/// IEEE CRC-32 (the polynomial used by zlib/PNG), table-driven.
-fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    };
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// An append-only, checksummed write-ahead journal.
-///
-/// Owned by a [`Monitor`] once [`Monitor::enable_journal`] is called; the
-/// monitor appends a record for every attempted rule *before* mutating
-/// its graph. The journal is plain text — persist it with
-/// [`Journal::as_str`] and recover with [`recover`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Journal {
-    text: String,
-    seq: u64,
-}
-
-impl Default for Journal {
-    fn default() -> Journal {
-        Journal::new()
-    }
-}
-
-impl Journal {
-    /// An empty journal: just the `TGJ1` magic line.
-    pub fn new() -> Journal {
-        Journal {
-            text: format!("{MAGIC}\n"),
-            seq: 0,
-        }
-    }
-
-    /// Appends one record.
-    pub(crate) fn append(&mut self, event: &JournalEvent) {
-        let body = format!("{} {}", self.seq, event.encode_payload());
-        let crc = crc32(body.as_bytes());
-        self.text.push_str(&format!("{crc:08x} {body}\n"));
-        self.seq += 1;
-    }
-
-    /// The journal text, ready to persist.
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-
-    /// The journal bytes, ready to persist.
-    pub fn as_bytes(&self) -> &[u8] {
-        self.text.as_bytes()
-    }
-
-    /// Number of records (excluding the magic line).
-    pub fn records(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Report of a torn (crash-truncated) journal tail.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TornTail {
-    /// Records that survived before the tear.
-    pub valid_records: usize,
-    /// Bytes dropped from the tear to end of input.
-    pub dropped_bytes: usize,
-}
-
-/// Why a journal could not be recovered. Every variant fails closed: no
-/// partially-trusted state is returned.
+/// Why an event stream could not be replayed. Every variant fails
+/// closed: no partially-trusted state is returned.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum JournalError {
-    /// The input does not start with the `TGJ1` magic line.
-    BadMagic,
-    /// An invalid or out-of-sequence record has valid records after it —
-    /// impossible from a crash, so the log is treated as tampered.
-    MidLogCorruption {
-        /// 1-based line number of the offending record.
-        line: usize,
-    },
-    /// A structurally valid record arrived in an impossible position
-    /// (e.g. `A` outside a batch, `R` inside one).
+    /// A well-formed event arrived in an impossible position (e.g. `A`
+    /// outside a batch, `R` inside one).
     UnexpectedEvent {
-        /// 0-based sequence number of the offending record.
+        /// 0-based index of the offending event.
         record: usize,
     },
-    /// Replay verification failed: a journaled `permitted` rule is not
+    /// Replay verification failed: a recorded `permitted` rule is not
     /// permitted against the seed — wrong seed graph or a forged record.
     Diverged {
-        /// 0-based sequence number of the offending record.
+        /// 0-based index of the offending event.
         record: usize,
         /// Human-readable detail.
         detail: String,
@@ -319,10 +207,6 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalError::BadMagic => write!(f, "journal does not start with {MAGIC}"),
-            JournalError::MidLogCorruption { line } => {
-                write!(f, "mid-log corruption at line {line}: refusing to recover")
-            }
             JournalError::UnexpectedEvent { record } => {
                 write!(f, "record {record} is invalid in its position")
             }
@@ -335,162 +219,18 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A parsed journal: the surviving events plus tear information.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ParsedJournal {
-    /// Events in order, one per surviving record.
-    pub events: Vec<JournalEvent>,
-    /// Present when a torn tail was truncated.
-    pub torn: Option<TornTail>,
-}
-
-/// Parses journal bytes, truncating a torn tail and failing closed on
-/// mid-log corruption.
-///
-/// # Errors
-///
-/// [`JournalError::BadMagic`] if the magic line is missing,
-/// [`JournalError::MidLogCorruption`] if an invalid record is followed by
-/// a valid one.
-pub fn parse_journal(bytes: &[u8]) -> Result<ParsedJournal, JournalError> {
-    // Split into lines manually so non-UTF-8 corruption is confined to
-    // the lines it touches.
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    if let Some(last) = lines.last() {
-        if last.is_empty() {
-            lines.pop(); // trailing newline
-        }
-    }
-    let Some(first) = lines.first() else {
-        return Err(JournalError::BadMagic);
-    };
-    if *first != MAGIC.as_bytes() {
-        return Err(JournalError::BadMagic);
-    }
-
-    // A line is a valid record if it is UTF-8, shaped `<crc8> <seq>
-    // <payload>`, its CRC matches, and its payload decodes.
-    let parse_line = |line: &[u8], expected_seq: u64| -> Option<JournalEvent> {
-        let line = core::str::from_utf8(line).ok()?;
-        let (crc_hex, body) = line.split_once(' ')?;
-        if crc_hex.len() != 8 {
-            return None;
-        }
-        let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-        if crc != crc32(body.as_bytes()) {
-            return None;
-        }
-        let (seq, payload) = body.split_once(' ')?;
-        if seq.parse::<u64>().ok()? != expected_seq {
-            return None;
-        }
-        JournalEvent::decode_payload(payload).ok()
-    };
-
-    let mut events = Vec::new();
-    for (idx, line) in lines.iter().enumerate().skip(1) {
-        match parse_line(line, events.len() as u64) {
-            Some(event) => events.push(event),
-            None => {
-                // Invalid record: torn tail if nothing valid follows,
-                // otherwise mid-log corruption. A later line counts as
-                // valid if its CRC holds for *any* sequence number — a
-                // splice with consistent numbering is still a splice.
-                let later_valid = lines[idx + 1..].iter().any(|l| {
-                    core::str::from_utf8(l).ok().is_some_and(|l| {
-                        l.split_once(' ').is_some_and(|(crc_hex, body)| {
-                            crc_hex.len() == 8
-                                && u32::from_str_radix(crc_hex, 16)
-                                    .is_ok_and(|crc| crc == crc32(body.as_bytes()))
-                        })
-                    })
-                });
-                if later_valid {
-                    return Err(JournalError::MidLogCorruption { line: idx + 1 });
-                }
-                let dropped: usize = lines[idx..].iter().map(|l| l.len() + 1).sum::<usize>() - 1;
-                return Ok(ParsedJournal {
-                    events,
-                    torn: Some(TornTail {
-                        valid_records: idx - 1,
-                        dropped_bytes: dropped.min(bytes.len()),
-                    }),
-                });
-            }
-        }
-    }
-    Ok(ParsedJournal { events, torn: None })
-}
-
-/// Report of a completed recovery.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Recovery {
-    /// Journal records replayed (after truncation and batch discard).
-    pub replayed: usize,
-    /// Present when a torn tail was truncated.
-    pub torn: Option<TornTail>,
-    /// Whether an uncommitted batch at the end of the log was discarded
-    /// (crash mid-batch).
-    pub discarded_open_batch: bool,
-}
-
-/// Rebuilds a monitor from its seed and a journal.
-///
-/// Every `permitted` and batch record is **re-verified** against the
-/// restriction during replay: the journal is evidence, not authority. The
-/// returned monitor has journaling enabled, its journal holding a clean
-/// re-encoding of the surviving records (same events, renumbered), so
-/// service can continue appending where the crash left off.
-///
-/// # Errors
-///
-/// Fails closed on a missing magic line, mid-log corruption,
-/// structurally impossible event order, or replay divergence.
-pub fn recover(
-    graph: ProtectionGraph,
-    levels: LevelAssignment,
-    restriction: Box<dyn Restriction>,
-    journal_bytes: &[u8],
-) -> Result<(Monitor, Recovery), JournalError> {
-    let _span = tg_obs::span(tg_obs::SpanKind::JournalRecover);
-    let parsed = parse_journal(journal_bytes)?;
-    let mut monitor = Monitor::new(graph, levels, restriction);
-    monitor.enable_journal();
-
-    // Split a trailing uncommitted batch off before replaying: its rules
-    // never took effect (no commit marker — the live monitor either
-    // crashed mid-batch or rolled back without writing `X`, and rollback
-    // always writes `X`, so this is the crash case).
-    let mut effective = parsed.events.as_slice();
-    let mut discarded_open_batch = false;
-    if let Some(open_at) = open_batch_start(effective) {
-        effective = &effective[..open_at];
-        discarded_open_batch = true;
-    }
-
-    replay_events(&mut monitor, effective)?;
-
-    Ok((
-        monitor,
-        Recovery {
-            replayed: effective.len(),
-            torn: parsed.torn,
-            discarded_open_batch,
-        },
-    ))
-}
-
-/// Replays already-parsed events onto a live monitor, **re-verifying**
-/// every record against the monitor's restriction (the journal is
-/// evidence, not authority). Callers must strip a trailing open batch
-/// first (see [`open_batch_start`]); [`recover`] does this, and the
-/// commit log's snapshot-based recovery does the same for its chain
-/// suffix.
+/// Replays events onto a live monitor, **re-verifying** every record
+/// against the monitor's restriction (the record is evidence, not
+/// authority). Callers must strip a trailing open batch first (see
+/// [`open_batch_start`]); the commit log's recovery, `state_at` and
+/// compaction proof all do, for the chain suffix they fold. Attach the
+/// monitor's event sink only afterwards, or the replayed history is
+/// recorded twice.
 ///
 /// # Errors
 ///
 /// [`JournalError::UnexpectedEvent`] on a structurally impossible event
-/// order, [`JournalError::Diverged`] when a journaled outcome does not
+/// order, [`JournalError::Diverged`] when a recorded outcome does not
 /// reproduce. Record numbers in errors are 0-based indexes into `events`.
 pub fn replay_events(monitor: &mut Monitor, events: &[JournalEvent]) -> Result<(), JournalError> {
     let mut batch: Option<Vec<Rule>> = None;
@@ -552,7 +292,8 @@ pub fn replay_events(monitor: &mut Monitor, events: &[JournalEvent]) -> Result<(
     Ok(())
 }
 
-/// Index of the `BatchBegin` of a batch still open at end of log, if any.
+/// Index of the `BatchBegin` of a batch still open at the end of
+/// `events`, if any.
 /// Recovery discards everything from here on — the batch never committed,
 /// matching the live monitor's rollback-on-abort semantics.
 pub fn open_batch_start(events: &[JournalEvent]) -> Option<usize> {
@@ -586,50 +327,41 @@ fn replay_attempt(
             Ok(_) => Ok(()),
             Err(e) => Err(JournalError::Diverged {
                 record,
-                detail: format!("journaled as permitted but refused on replay: {e}"),
+                detail: format!("recorded as permitted but refused on replay: {e}"),
             }),
         },
         Outcome::Denied | Outcome::Malformed => match monitor.try_apply(rule) {
             Err(ref e) if outcome_of(e) == outcome => Ok(()),
             Err(e) => Err(JournalError::Diverged {
                 record,
-                detail: format!("journaled as {outcome} but refused as {e} on replay"),
+                detail: format!("recorded as {outcome} but refused as {e} on replay"),
             }),
             Ok(_) => Err(JournalError::Diverged {
                 record,
-                detail: format!("journaled as {outcome} but permitted on replay"),
+                detail: format!("recorded as {outcome} but permitted on replay"),
             }),
         },
-        // Degradation depends on audit history, which the journal does
+        // Degradation depends on audit history, which the stream does
         // not carry (quarantine is out-of-band); trust the counter.
         Outcome::Refused => {
             monitor.stats_mut().refused += 1;
-            if let Some(journal) = monitor_journal_mut(monitor) {
-                journal.append(&JournalEvent::Attempt {
-                    outcome: Outcome::Refused,
-                    rule: rule.clone(),
-                });
-            }
             Ok(())
         }
     }
 }
 
-/// Mutable access to the monitor's journal for replaying `refused`
-/// records, which bypass `try_apply` (the recovered monitor is not
-/// degraded during replay).
-fn monitor_journal_mut(monitor: &mut Monitor) -> Option<&mut Journal> {
-    monitor.journal_mut()
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
+    use crate::levels::LevelAssignment;
+    use crate::monitor::EventSink;
     use crate::restrict::CombinedRestriction;
-    use tg_graph::Rights;
+    use tg_graph::{ProtectionGraph, Rights, VertexId};
     use tg_rules::DeJureRule;
 
-    fn seed() -> (ProtectionGraph, LevelAssignment) {
+    fn seed() -> Monitor {
         let mut g = ProtectionGraph::new();
         let hi = g.add_subject("hi"); // v0
         let lo = g.add_subject("lo"); // v1
@@ -640,11 +372,10 @@ mod tests {
         levels.assign(hi, 1).unwrap();
         levels.assign(lo, 0).unwrap();
         levels.assign(q, 1).unwrap();
-        (g, levels)
+        Monitor::new(g, levels, Box::new(CombinedRestriction))
     }
 
     fn take(actor: usize, via: usize, target: usize, rights: Rights) -> Rule {
-        use tg_graph::VertexId;
         Rule::DeJure(DeJureRule::Take {
             actor: VertexId::from_index(actor),
             via: VertexId::from_index(via),
@@ -653,169 +384,147 @@ mod tests {
         })
     }
 
-    fn monitor() -> Monitor {
-        let (g, levels) = seed();
-        let mut m = Monitor::new(g, levels, Box::new(CombinedRestriction));
-        m.enable_journal();
-        m
+    /// Collects every recorded event in memory, standing in for the
+    /// commit log.
+    #[derive(Clone, Default)]
+    struct Capture(Arc<Mutex<Vec<JournalEvent>>>);
+
+    impl EventSink for Capture {
+        fn append(&mut self, event: &JournalEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    fn permitted(rule: Rule) -> JournalEvent {
+        JournalEvent::Attempt {
+            outcome: Outcome::Permitted,
+            rule,
+        }
     }
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    fn every_event_round_trips_through_the_codec() {
+        let events = [
+            permitted(take(1, 2, 0, Rights::E)),
+            JournalEvent::Attempt {
+                outcome: Outcome::Refused,
+                rule: take(1, 2, 0, Rights::R),
+            },
+            JournalEvent::BatchBegin,
+            JournalEvent::BatchApply {
+                rule: take(1, 2, 0, Rights::W),
+            },
+            JournalEvent::BatchCommit,
+            JournalEvent::BatchAbort {
+                index: 3,
+                outcome: Outcome::Malformed,
+                rule: take(1, 1, 0, Rights::R),
+            },
+        ];
+        for event in events {
+            let payload = event.encode_payload();
+            assert_eq!(
+                JournalEvent::decode_payload(&payload),
+                Ok(event),
+                "{payload}"
+            );
+        }
+        for bad in [
+            "",
+            "Z",
+            "B extra",
+            "R sideways take 1 2 0 x1",
+            "X one denied",
+        ] {
+            assert!(JournalEvent::decode_payload(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn journal_records_every_outcome() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap(); // permitted
-        m.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err(); // denied
-        m.try_apply(&take(1, 1, 0, Rights::R)).unwrap_err(); // malformed
-        let journal = m.journal().unwrap();
-        assert_eq!(journal.records(), 3);
-        let parsed = parse_journal(journal.as_bytes()).unwrap();
-        assert!(parsed.torn.is_none());
-        let outcomes: Vec<Outcome> = parsed
-            .events
+    fn replay_reproduces_the_live_monitor() {
+        let capture = Capture::default();
+        let mut live = seed();
+        live.attach_event_sink(Box::new(capture.clone()));
+        live.try_apply(&take(1, 2, 0, Rights::E)).unwrap(); // permitted
+        live.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err(); // denied
+        live.try_apply(&take(1, 1, 0, Rights::R)).unwrap_err(); // malformed
+        live.try_apply_all(&[take(1, 2, 0, Rights::W)]).unwrap(); // committed
+        live.try_apply_all(&[take(0, 2, 1, Rights::RW)])
+            .unwrap_err(); // write-down aborts
+        let events = capture.0.lock().unwrap().clone();
+        let outcomes: Vec<Outcome> = events
             .iter()
-            .map(|e| match e {
-                JournalEvent::Attempt { outcome, .. } => *outcome,
-                other => panic!("unexpected {other:?}"),
+            .filter_map(|e| match e {
+                JournalEvent::Attempt { outcome, .. } => Some(*outcome),
+                _ => None,
             })
             .collect();
         assert_eq!(
             outcomes,
             [Outcome::Permitted, Outcome::Denied, Outcome::Malformed]
         );
-    }
+        assert_eq!(events.len(), 3 + 3 + 2);
 
-    #[test]
-    fn recover_reproduces_the_live_monitor() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap();
-        m.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err();
-        m.try_apply_all(&[take(0, 2, 1, Rights::RW)]).unwrap_err(); // write-down aborts
-        let (g, levels) = seed();
-        let (rec, report) = recover(
-            g,
-            levels,
-            Box::new(CombinedRestriction),
-            m.journal().unwrap().as_bytes(),
-        )
-        .unwrap();
-        assert_eq!(rec.graph(), m.graph());
-        assert_eq!(rec.levels(), m.levels());
-        assert_eq!(rec.stats(), m.stats());
-        assert_eq!(rec.log().steps, m.log().steps);
-        assert!(report.torn.is_none());
-        assert!(!report.discarded_open_batch);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_reported() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap();
-        m.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err();
-        let mut bytes = m.journal().unwrap().as_bytes().to_vec();
-        bytes.truncate(bytes.len() - 7); // tear mid-record
-        let (g, levels) = seed();
-        let (rec, report) = recover(g, levels, Box::new(CombinedRestriction), &bytes).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert!(report.torn.is_some());
-        assert_eq!(rec.stats().permitted, 1);
-        assert_eq!(rec.stats().denied, 0);
-    }
-
-    #[test]
-    fn mid_log_corruption_fails_closed() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap();
-        m.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err();
-        let mut bytes = m.journal().unwrap().as_bytes().to_vec();
-        // Flip one byte inside the first record's payload.
-        let first_record_at = bytes.iter().position(|&b| b == b'\n').unwrap() + 12;
-        bytes[first_record_at] ^= 0x20;
-        let (g, levels) = seed();
-        let err = recover(g, levels, Box::new(CombinedRestriction), &bytes).unwrap_err();
-        assert!(matches!(err, JournalError::MidLogCorruption { line: 2 }));
+        let mut replayed = seed();
+        replay_events(&mut replayed, &events).unwrap();
+        assert_eq!(replayed.graph(), live.graph());
+        assert_eq!(replayed.levels(), live.levels());
+        assert_eq!(replayed.stats(), live.stats());
+        assert_eq!(replayed.log().steps, live.log().steps);
     }
 
     #[test]
     fn forged_permit_fails_closed_as_divergence() {
-        // Hand-craft a journal whose CRC is valid but whose rule the
-        // restriction denies: replay must not admit it.
-        let mut journal = Journal::new();
-        journal.append(&JournalEvent::Attempt {
-            outcome: Outcome::Permitted,
-            rule: take(1, 2, 0, Rights::R), // read-up
-        });
-        let (g, levels) = seed();
-        let err =
-            recover(g, levels, Box::new(CombinedRestriction), journal.as_bytes()).unwrap_err();
+        // A permit the restriction denies (read-up): replay must not
+        // admit it.
+        let err = replay_events(&mut seed(), &[permitted(take(1, 2, 0, Rights::R))]).unwrap_err();
         assert!(matches!(err, JournalError::Diverged { record: 0, .. }));
     }
 
     #[test]
-    fn open_batch_at_eof_is_discarded() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap();
-        // Simulate a crash mid-batch: append B and A records by hand.
-        let mut journal = m.journal().unwrap().clone();
-        journal.append(&JournalEvent::BatchBegin);
-        journal.append(&JournalEvent::BatchApply {
-            rule: take(1, 2, 0, Rights::W),
-        });
-        let (g, levels) = seed();
-        let (rec, report) =
-            recover(g, levels, Box::new(CombinedRestriction), journal.as_bytes()).unwrap();
-        assert!(report.discarded_open_batch);
-        assert_eq!(report.replayed, 1);
-        assert_eq!(rec.stats().permitted, 1);
+    fn open_batch_at_the_end_is_discarded() {
+        // A crash mid-batch leaves B and A events with no commit marker.
+        let events = [
+            permitted(take(1, 2, 0, Rights::E)),
+            JournalEvent::BatchBegin,
+            JournalEvent::BatchApply {
+                rule: take(1, 2, 0, Rights::W),
+            },
+        ];
+        let open_at = open_batch_start(&events).expect("the batch is open");
+        assert_eq!(open_at, 1);
+        let mut replayed = seed();
+        replay_events(&mut replayed, &events[..open_at]).unwrap();
+        assert_eq!(replayed.stats().permitted, 1);
+        assert_eq!(open_batch_start(&events[..open_at]), None);
     }
 
     #[test]
-    fn bad_magic_and_event_order_fail_closed() {
-        let (g, levels) = seed();
-        let err = recover(
-            g.clone(),
-            levels.clone(),
-            Box::new(CombinedRestriction),
-            b"not a journal",
-        )
-        .unwrap_err();
-        assert_eq!(err, JournalError::BadMagic);
-
-        // `C` with no open batch, followed by a valid record so it is not
-        // torn-tail-truncated.
-        let mut journal = Journal::new();
-        journal.append(&JournalEvent::BatchCommit);
-        journal.append(&JournalEvent::Attempt {
-            outcome: Outcome::Permitted,
-            rule: take(1, 2, 0, Rights::E),
-        });
-        let err =
-            recover(g, levels, Box::new(CombinedRestriction), journal.as_bytes()).unwrap_err();
-        assert!(matches!(err, JournalError::UnexpectedEvent { record: 0 }));
-    }
-
-    #[test]
-    fn recovered_monitor_keeps_journaling() {
-        let mut m = monitor();
-        m.try_apply(&take(1, 2, 0, Rights::E)).unwrap();
-        let (g, levels) = seed();
-        let (mut rec, _) = recover(
-            g,
-            levels,
-            Box::new(CombinedRestriction),
-            m.journal().unwrap().as_bytes(),
-        )
-        .unwrap();
-        assert_eq!(
-            rec.journal().unwrap().as_str(),
-            m.journal().unwrap().as_str()
-        );
-        rec.try_apply(&take(1, 2, 0, Rights::R)).unwrap_err();
-        assert_eq!(rec.journal().unwrap().records(), 2);
+    fn impossible_event_order_fails_closed() {
+        for events in [
+            // `C` with no open batch.
+            vec![
+                JournalEvent::BatchCommit,
+                permitted(take(1, 2, 0, Rights::E)),
+            ],
+            // `A` outside a batch.
+            vec![JournalEvent::BatchApply {
+                rule: take(1, 2, 0, Rights::E),
+            }],
+        ] {
+            let err = replay_events(&mut seed(), &events).unwrap_err();
+            assert_eq!(err, JournalError::UnexpectedEvent { record: 0 });
+        }
+        // An abort whose index disagrees with the batch it closes.
+        let events = [
+            JournalEvent::BatchBegin,
+            JournalEvent::BatchAbort {
+                index: 2,
+                outcome: Outcome::Denied,
+                rule: take(1, 2, 0, Rights::R),
+            },
+        ];
+        let err = replay_events(&mut seed(), &events).unwrap_err();
+        assert_eq!(err, JournalError::UnexpectedEvent { record: 1 });
     }
 }

@@ -20,6 +20,9 @@
 //! * [`monitor`] — the reference monitor enforcing a restriction with the
 //!   constant-time per-rule check of Corollary 5.7 and the linear-time
 //!   audit of Corollary 5.6.
+//! * [`journal`] — the monitor's write-ahead event stream: the events
+//!   an [`EventSink`] receives, their payload codec, and the
+//!   re-verifying replay that `tg-log`'s commit log recovers through.
 //! * [`wu`] — the Wu-model baseline (hierarchy by edge direction only) and
 //!   the two-subject conspiracy that breaks it (Figure 2.1).
 //! * [`declass`] — the declassification analysis of §6: why raising or
@@ -27,12 +30,12 @@
 //!
 //! # Observability
 //!
-//! The monitor and journal are instrumented through the `tg_obs` facade:
-//! every `try_apply` runs under a `monitor.apply` span (one span per
+//! The monitor is instrumented through the `tg_obs` facade: every
+//! `try_apply` runs under a `monitor.apply` span (one span per
 //! Corollary 5.7 check), every whole-graph audit under `monitor.audit`
-//! (Corollary 5.6), and journal writes/recovery under `journal.*` spans,
-//! with `monitor.permitted`/`denied`/`refused` counters splitting
-//! verdicts. Recording is off by default and costs one relaxed atomic
+//! (Corollary 5.6), with `monitor.permitted`/`denied`/`refused` counters
+//! splitting verdicts. Event writes are timed by the sink that stores
+//! them (`log.commit` in `tg-log`). Recording is off by default and costs one relaxed atomic
 //! load per site; `tgq --stats` or `tg_obs::Session` turns it on.
 //!
 //! # Examples
@@ -60,10 +63,7 @@ pub mod secure;
 pub mod structure;
 pub mod wu;
 
-pub use journal::{
-    open_batch_start, parse_journal, recover, replay_events, Journal, JournalError, JournalEvent,
-    Outcome, ParsedJournal, Recovery, TornTail,
-};
+pub use journal::{open_batch_start, replay_events, JournalError, JournalEvent, Outcome};
 pub use levels::{rw_levels, rwtg_levels, DerivedLevels, LevelAssignment, LevelError};
 pub use monitor::{
     audit_diagnostics, audit_graph, edge_audit_diagnostics, violations_of, BatchError, EventSink,

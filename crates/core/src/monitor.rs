@@ -14,11 +14,13 @@
 //! Three durability-and-recovery mechanisms harden the monitor against a
 //! crashing or hostile host:
 //!
-//! * **Write-ahead journaling** ([`Monitor::enable_journal`], the
-//!   [`journal`](crate::journal) module): every attempted rule is recorded
-//!   (permitted, denied, malformed or refused) *before* any mutation, and
-//!   [`journal::recover`](crate::journal::recover) rebuilds an identical
-//!   monitor from the seed graph plus the journal.
+//! * **A write-ahead event stream** ([`EventSink`], the
+//!   [`journal`](crate::journal) module): every attempted rule is handed
+//!   to the attached sink (permitted, denied, malformed or refused)
+//!   *before* any mutation. The `tg-log` commit log is the sink that
+//!   makes the stream durable, and
+//!   [`journal::replay_events`](crate::journal::replay_events) rebuilds
+//!   an identical monitor from the seed graph plus the events.
 //! * **Transactional batches** ([`Monitor::try_apply_all`]): a rule trace
 //!   is applied atomically; if any rule is refused, the already-applied
 //!   prefix is rolled back via exact inverse effects
@@ -35,7 +37,7 @@ use tg_graph::diag::{Diagnostic, Fix, FixIt, LabeledSpan, Severity};
 use tg_graph::{ProtectionGraph, Right, Rights, SourceMap, VertexId};
 use tg_rules::{Derivation, Effect, Rule, RuleError};
 
-use crate::journal::{Journal, JournalEvent, Outcome};
+use crate::journal::{JournalEvent, Outcome};
 use crate::levels::LevelAssignment;
 use crate::restrict::{Decision, DenyReason, Restriction};
 
@@ -158,12 +160,11 @@ pub trait MonitorObserver: Send {
     }
 }
 
-/// A sink that receives every journal event the monitor records, in
-/// order, *before* the corresponding graph mutation — the same
-/// write-ahead discipline as the in-memory [`Journal`]. This is the
-/// attachment point for external durable logs (the hash-chained commit
-/// log in `tg-log`): the monitor stays ignorant of storage, hashing and
-/// snapshot policy; the sink owns all of it.
+/// A sink that receives every event the monitor records, in order,
+/// *before* the corresponding graph mutation (write-ahead discipline).
+/// This is the monitor's only route to storage: the hash-chained commit
+/// log in `tg-log` attaches one, and the monitor stays ignorant of
+/// storage, hashing and snapshot policy; the sink owns all of it.
 ///
 /// `Send` for the same reason as [`MonitorObserver`]: a monitor handed to
 /// a worker thread carries its sink along.
@@ -236,7 +237,6 @@ pub struct Monitor {
     restriction: Box<dyn Restriction>,
     log: Derivation,
     stats: MonitorStats,
-    journal: Option<Journal>,
     sink: Option<Box<dyn EventSink>>,
     degraded: bool,
     observer: Option<Box<dyn MonitorObserver>>,
@@ -267,7 +267,6 @@ impl Monitor {
             restriction,
             log: Derivation::new(),
             stats: MonitorStats::default(),
-            journal: None,
             sink: None,
             degraded: false,
             observer: None,
@@ -278,8 +277,8 @@ impl Monitor {
     /// commit-log snapshot: the graph, classification and counters are
     /// adopted as recorded, while the [`Derivation`] log restarts empty
     /// (carrying the full rule-by-rule history in every snapshot would
-    /// defeat bounded recovery; the journal remains the history of
-    /// record). The monitor starts undegraded with no journal, sink or
+    /// defeat bounded recovery; the commit log's chain remains the
+    /// history of record). The monitor starts undegraded with no sink or
     /// observer attached.
     pub fn restore(
         graph: ProtectionGraph,
@@ -306,7 +305,7 @@ impl Monitor {
     }
 
     /// Adds an explicit edge *out of band* — around the rule interface,
-    /// not journaled and not logged — while still notifying the attached
+    /// not recorded as an event — while still notifying the attached
     /// observer, so an incremental index stays consistent. This is the
     /// fault-injection port used to model a hostile co-resident component
     /// in tests; the planted edge is exactly what the Corollary 5.6 audit
@@ -347,30 +346,14 @@ impl Monitor {
         }
     }
 
-    /// Attaches a fresh write-ahead journal. From now on every attempted
-    /// rule application is recorded — with its outcome — *before* the
-    /// graph is mutated, so a crash at any point leaves a journal from
-    /// which [`journal::recover`](crate::journal::recover) rebuilds the
-    /// monitor exactly.
-    pub fn enable_journal(&mut self) {
-        self.journal = Some(Journal::new());
-    }
-
-    /// The attached write-ahead journal, if journaling is enabled.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// Attaches an event sink that receives every recorded event from now
-    /// on, before the corresponding mutation. Attach it *after* any
-    /// recovery replay, or the replayed history is logged twice.
+    /// on — every attempted rule application, with its outcome — before
+    /// the corresponding mutation, so a crash at any point leaves a
+    /// record from which [`journal::replay_events`](crate::journal::replay_events)
+    /// rebuilds the monitor exactly. Attach it *after* any recovery
+    /// replay, or the replayed history is logged twice.
     pub fn attach_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
-    }
-
-    /// Whether an event sink is attached.
-    pub fn has_event_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Whether the monitor is in fail-closed degraded mode.
@@ -379,17 +362,12 @@ impl Monitor {
     }
 
     fn record(&mut self, event: &JournalEvent) {
-        if let Some(journal) = self.journal.as_mut() {
-            let _span = tg_obs::span(tg_obs::SpanKind::JournalWrite);
-            journal.append(event);
-            tg_obs::add(tg_obs::Counter::JournalRecords, 1);
-        }
         if let Some(sink) = self.sink.as_mut() {
             sink.append(event);
         }
     }
 
-    /// Counts a refusal and returns its journal outcome tag.
+    /// Counts a refusal and returns its event outcome tag.
     fn count_refusal(&mut self, error: &MonitorError) -> Outcome {
         match error {
             MonitorError::Rule(_) => {
@@ -412,10 +390,6 @@ impl Monitor {
 
     pub(crate) fn stats_mut(&mut self) -> &mut MonitorStats {
         &mut self.stats
-    }
-
-    pub(crate) fn journal_mut(&mut self) -> Option<&mut Journal> {
-        self.journal.as_mut()
     }
 
     /// The current graph.
@@ -476,7 +450,7 @@ impl Monitor {
             });
             return Err(e);
         }
-        // Write-ahead: the decision reaches the journal before the graph
+        // Write-ahead: the decision reaches the sink before the graph
         // mutates, so a crash between the two replays to the same state.
         self.record(&JournalEvent::Attempt {
             outcome: Outcome::Permitted,
@@ -501,9 +475,10 @@ impl Monitor {
     /// applied (and logged, and counted permitted), or — at the first
     /// refusal — the already-applied prefix is rolled back via exact
     /// inverse effects ([`Effect::invert`]) and only the refused rule is
-    /// counted. The journal records the batch as `B`/`A…`/`C` on commit or
-    /// `B`/`A…`/`X` on abort; a crash mid-batch leaves no commit marker,
-    /// so recovery discards the partial batch — matching the rollback.
+    /// counted. The event stream records the batch as `B`/`A…`/`C` on
+    /// commit or `B`/`A…`/`X` on abort; a crash mid-batch leaves no
+    /// commit marker, so recovery discards the partial batch — matching
+    /// the rollback.
     ///
     /// # Errors
     ///
@@ -609,8 +584,8 @@ impl Monitor {
     /// quarantined (one per repaired edge).
     ///
     /// Quarantines are repairs of *out-of-band* tampering, so they are not
-    /// journaled: the journal records rule traffic, and replaying it onto
-    /// the untampered seed never re-creates the stripped edges.
+    /// recorded: the event stream records rule traffic, and replaying it
+    /// onto the untampered seed never re-creates the stripped edges.
     pub fn quarantine(&mut self) -> Vec<Violation> {
         let _span = tg_obs::span(tg_obs::SpanKind::MonitorQuarantine);
         let diagnostics =

@@ -17,11 +17,12 @@
 //! <hash-hex16> <prev-hex16> <seq> <payload>
 //! ```
 //!
-//! where `payload` is a `TGJ1` journal payload (same codec, see
-//! [`tg_hierarchy::journal`]) and `hash = chain_hash(prev, seq,
-//! payload)`. A record is **self-valid** when its own hash equation
-//! holds, and **linked** when its `prev` equals its predecessor's hash
-//! and its `seq` is the successor of the predecessor's. The distinction
+//! where `payload` is one encoded monitor event
+//! ([`JournalEvent::encode_payload`], see [`tg_hierarchy::journal`])
+//! and `hash = chain_hash(prev, seq, payload)`. A record is
+//! **self-valid** when its own hash equation holds, and **linked** when
+//! its `prev` equals its predecessor's hash and its `seq` is the
+//! successor of the predecessor's. The distinction
 //! drives the failure semantics:
 //!
 //! * trailing bytes that are not self-valid, with no self-valid line
@@ -50,7 +51,7 @@ pub struct ChainRecord {
     pub hash: u64,
     /// The predecessor's chain hash (the base hash for the first record).
     pub prev: u64,
-    /// The journaled event.
+    /// The recorded event.
     pub event: JournalEvent,
 }
 

@@ -390,8 +390,8 @@ impl EventSink for LogSink {
 ///
 /// Obtain one with [`CommitLog::create`] (fresh directory) or
 /// [`CommitLog::open`] (recovery); both return a [`Monitor`] already
-/// wired to journal through the log. See the module docs for the
-/// invariant and trust model.
+/// wired to record every event through the log. See the module docs for
+/// the invariant and trust model.
 pub struct CommitLog {
     inner: Arc<Mutex<LogInner>>,
 }
@@ -577,14 +577,6 @@ impl CommitLog {
             snapshots_rejected: rejected,
         };
         Ok((inner, monitor, report))
-    }
-
-    /// A fresh sink handle for wiring an externally built monitor to
-    /// this log (the normal constructors already attach one).
-    pub fn sink(&self) -> Box<dyn EventSink> {
-        Box::new(LogSink {
-            inner: Arc::clone(&self.inner),
-        })
     }
 
     /// Flushes buffered records to the store.

@@ -2,12 +2,12 @@
 //!
 //! FNV-1a over 64 bits: not cryptographic, but the threat model here is
 //! *tamper evidence against accidental or casual modification* — torn
-//! writes, editor slips, spliced files — the same class TGJ1's CRC-32
+//! writes, editor slips, spliced files — the class a per-record CRC
 //! defends against, upgraded with chaining so record *order* and
 //! *ancestry* are covered too. An adversary who can rewrite the whole
 //! chain *and* every later snapshot can forge a history, but replay
-//! re-verification (the journal is evidence, not authority) still refuses
-//! any forged `permitted` effect.
+//! re-verification (the record is evidence, not authority) still
+//! refuses any forged `permitted` effect.
 
 /// FNV-1a 64-bit offset basis.
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -2,10 +2,13 @@
 //! epoch snapshots, bounded-time crash recovery, verified compaction and
 //! time-travel queries.
 //!
-//! PR 1's `TGJ1` journal records what the monitor did; this crate makes
-//! that record *self-authenticating and cheap to recover from*:
+//! The monitor hands every decision to an event sink as a
+//! [`tg_hierarchy::JournalEvent`], before it mutates anything; this
+//! crate is the monitor's one durable record of those events, and makes
+//! it *self-authenticating and cheap to recover from*:
 //!
-//! - **[`chain`]** — the `TGL1` record format. Every record carries an
+//! - **[`chain`]** — the `TGL1` record format, the monitor's only
+//!   on-disk format. Every record carries one encoded event and an
 //!   FNV-1a chain hash over its predecessor's hash, its sequence number
 //!   and its payload, anchored at a genesis digest of the seed state.
 //!   Forged, reordered or spliced records fail closed on open; only a

@@ -4,19 +4,23 @@
 //! pre-crash state or refuses fail-closed. Zero silently-divergent
 //! recoveries, by exhaustion.
 //!
-//! The oracle is the same as in `differential.rs`: the live monitor
-//! also journals through PR 1's plain `TGJ1` journal (which ignores the
-//! simulated store, so it survives the "crash" and records the full
-//! intended history), and the committed state at epoch `e` is
-//! `recover(seed, first e journal records)`.
+//! The oracle is the same as in `differential.rs` (see `common`): a
+//! twin monitor driven by the same trace and schedule captures the full
+//! intended event history in memory, where no simulated crash reaches
+//! it, and the committed state at epoch `e` is the seed folded through
+//! the first `e` of those events.
 
+mod common;
+
+use common::Twin;
+use proptest::prelude::*;
 use tg_graph::ProtectionGraph;
-use tg_hierarchy::journal::recover;
+use tg_hierarchy::journal::JournalEvent;
 use tg_hierarchy::structure::linear_hierarchy;
 use tg_hierarchy::{CombinedRestriction, LevelAssignment, Monitor};
-use tg_log::{CommitLog, LogConfig, LogError, MemStore, Store, CHAIN_FILE};
+use tg_log::{Chain, CommitLog, LogConfig, LogError, MemStore, Store, CHAIN_FILE};
 use tg_rules::Rule;
-use tg_sim::faults::{adversarial_trace, CrashPlan};
+use tg_sim::faults::{adversarial_trace, corrupt_bytes, CorruptionKind, CrashPlan};
 use tg_sim::prng::Prng;
 
 const INTERVAL: u64 = 4;
@@ -40,8 +44,8 @@ fn config() -> LogConfig {
 
 /// Same deterministic schedule as the differential suite; every store
 /// error is swallowed, the way a real process keeps issuing writes it
-/// does not know are doomed.
-fn drive(monitor: &mut Monitor, log: &CommitLog, trace: &[Rule], seed: u64) {
+/// does not know are doomed. A twin has no log to snapshot.
+fn drive(monitor: &mut Monitor, log: Option<&CommitLog>, trace: &[Rule], seed: u64) {
     let mut rng = Prng::seed_from_u64(seed ^ 0x5EED);
     let mut i = 0;
     while i < trace.len() {
@@ -54,8 +58,17 @@ fn drive(monitor: &mut Monitor, log: &CommitLog, trace: &[Rule], seed: u64) {
             let _ = monitor.try_apply(&trace[i]);
             i += 1;
         }
-        let _ = log.maybe_snapshot(monitor);
+        if let Some(log) = log {
+            let _ = log.maybe_snapshot(monitor);
+        }
     }
+}
+
+/// The full intended history of `trace` under `seed`'s schedule.
+fn intended(trace: &[Rule], seed: u64) -> Vec<JournalEvent> {
+    let mut twin = Twin::new(seed_state());
+    drive(&mut twin.monitor, None, trace, seed);
+    twin.events()
 }
 
 /// Copies whatever survived the crash into a fresh, healthy store —
@@ -72,35 +85,30 @@ fn reboot(crashed: &MemStore) -> MemStore {
     fresh
 }
 
-/// The committed state at `epoch` per the surviving full journal.
-fn oracle_at(journal_text: &str, epoch: u64) -> Monitor {
-    let mut lines = journal_text.lines();
-    let magic = lines.next().expect("journal has a magic line");
-    let mut prefix = String::from(magic);
-    prefix.push('\n');
-    for line in lines.take(epoch as usize) {
-        prefix.push_str(line);
-        prefix.push('\n');
-    }
-    let (graph, levels) = seed_state();
-    let (monitor, _) = recover(graph, levels, restriction(), prefix.as_bytes())
-        .expect("a clean journal prefix recovers");
-    monitor
+/// The committed state at `epoch` per the intended history.
+fn oracle_at(events: &[JournalEvent], epoch: u64) -> Monitor {
+    common::oracle_at(seed_state(), events, epoch)
 }
 
 /// Reopens a crashed-and-rebooted store and checks the verdict: either
 /// recovery refuses (fail closed), or the recovered state is exactly a
-/// committed prefix of the intended history. Returns whether it opened.
-fn assert_sound_recovery(case: &str, crashed: &MemStore, journal: &str, max_end: u64) -> bool {
+/// committed prefix of the intended history and the healed chain holds
+/// exactly that prefix's events. Returns whether it opened.
+fn assert_sound_recovery(
+    case: &str,
+    crashed: &MemStore,
+    events: &[JournalEvent],
+    max_end: u64,
+) -> bool {
     let rebooted = reboot(crashed);
-    match CommitLog::open(Box::new(rebooted), restriction(), config(), None) {
+    match CommitLog::open(Box::new(rebooted.clone()), restriction(), config(), None) {
         Err(_) => false,
-        Ok((_, recovered, report)) => {
+        Ok((log, recovered, report)) => {
             assert!(
                 report.end_epoch <= max_end,
                 "{case}: recovered past the intended history"
             );
-            let oracle = oracle_at(journal, report.end_epoch);
+            let oracle = oracle_at(events, report.end_epoch);
             assert_eq!(recovered.graph(), oracle.graph(), "{case}: graphs diverge");
             assert_eq!(
                 recovered.levels(),
@@ -114,6 +122,17 @@ fn assert_sound_recovery(case: &str, crashed: &MemStore, journal: &str, max_end:
                 report.replayed,
                 INTERVAL + MAX_BATCH
             );
+            // Damage that would replay to the same state (a rewritten
+            // malformed rule, say) must still be refused, not kept.
+            let bytes = rebooted.read(CHAIN_FILE).expect("read").expect("chain");
+            let (chain, _) = Chain::parse(&bytes, log.genesis()).expect("healed chain parses");
+            for record in chain.records() {
+                assert_eq!(
+                    record.event, events[record.seq as usize],
+                    "{case}: record {} is not the committed event",
+                    record.seq
+                );
+            }
             true
         }
     }
@@ -121,8 +140,8 @@ fn assert_sound_recovery(case: &str, crashed: &MemStore, journal: &str, max_end:
 
 /// One full run (create + drive) against a store that dies after
 /// `budget` bytes. Returns the crashed store plus the full intended
-/// journal.
-fn crashed_run(seed: u64, budget: u64) -> (MemStore, String, u64) {
+/// history and its length.
+fn crashed_run(seed: u64, budget: u64) -> (MemStore, Vec<JournalEvent>, u64) {
     let (graph, levels) = seed_state();
     let trace = adversarial_trace(&graph, &levels, 20, seed);
     let store = MemStore::with_plan(CrashPlan::kill_after_bytes(budget));
@@ -135,18 +154,13 @@ fn crashed_run(seed: u64, budget: u64) -> (MemStore, String, u64) {
     ) {
         Err(_) => {
             // Creation itself crashed; there is no history at all.
-            (store, "TGJ1\n".to_string(), 0)
+            (store, Vec::new(), 0)
         }
         Ok((log, mut monitor)) => {
-            monitor.enable_journal();
-            drive(&mut monitor, &log, &trace, seed);
-            let journal = monitor
-                .journal()
-                .expect("journal enabled")
-                .as_str()
-                .to_string();
-            let intended = journal.lines().count() as u64 - 1;
-            (store, journal, intended)
+            drive(&mut monitor, Some(&log), &trace, seed);
+            let events = intended(&trace, seed);
+            let end = events.len() as u64;
+            (store, events, end)
         }
     }
 }
@@ -163,9 +177,9 @@ fn every_commit_byte_offset_recovers_or_refuses() {
 
         let mut opened = 0u64;
         for budget in 0..=total {
-            let (store, journal, intended) = crashed_run(seed, budget);
+            let (store, events, end) = crashed_run(seed, budget);
             let case = format!("seed {seed} budget {budget}");
-            if assert_sound_recovery(&case, &store, &journal, intended) {
+            if assert_sound_recovery(&case, &store, &events, end) {
                 opened += 1;
             }
         }
@@ -197,15 +211,15 @@ fn every_snapshot_byte_offset_recovers_committed_state() {
         config(),
     )
     .expect("fresh log");
-    monitor.enable_journal();
-    drive(&mut monitor, &log, &trace, seed);
+    drive(&mut monitor, Some(&log), &trace, seed);
     log.persist().expect("clean flush");
-    let journal = monitor
-        .journal()
-        .expect("journal enabled")
-        .as_str()
-        .to_string();
+    let events = intended(&trace, seed);
     let end = log.end_epoch();
+    assert_eq!(
+        end,
+        events.len() as u64,
+        "the chain holds the whole history"
+    );
 
     // Measure an unconstrained snapshot write, then sweep every budget.
     // The atomic protocol admits `len` bytes for the temp file plus one
@@ -234,7 +248,7 @@ fn every_snapshot_byte_offset_recovers_committed_state() {
             let _ = vlog.snapshot_now(&vmon);
             let case = format!("snapshot budget {budget}");
             assert!(
-                assert_sound_recovery(&case, &victim, &journal, end),
+                assert_sound_recovery(&case, &victim, &events, end),
                 "{case}: a crashed snapshot must never block recovery"
             );
             // Stronger: the chain was durable before the snapshot, so
@@ -243,7 +257,7 @@ fn every_snapshot_byte_offset_recovers_committed_state() {
                 CommitLog::open(Box::new(reboot(&victim)), restriction(), config(), None)
                     .expect("reopen after snapshot crash");
             assert_eq!(report.end_epoch, end, "{case}: committed history lost");
-            let oracle = oracle_at(&journal, end);
+            let oracle = oracle_at(&events, end);
             assert_eq!(r2.graph(), oracle.graph(), "{case}: graphs diverge");
         }
     }
@@ -267,15 +281,15 @@ fn every_compaction_byte_offset_recovers_committed_state() {
         config(),
     )
     .expect("fresh log");
-    monitor.enable_journal();
-    drive(&mut monitor, &log, &trace, seed);
+    drive(&mut monitor, Some(&log), &trace, seed);
     log.persist().expect("clean flush");
-    let journal = monitor
-        .journal()
-        .expect("journal enabled")
-        .as_str()
-        .to_string();
+    let events = intended(&trace, seed);
     let end = log.end_epoch();
+    assert_eq!(
+        end,
+        events.len() as u64,
+        "the chain holds the whole history"
+    );
     assert!(
         log.snapshot_epochs().len() > 1,
         "the run produced interval snapshots to compact into"
@@ -302,7 +316,7 @@ fn every_compaction_byte_offset_recovers_committed_state() {
             CommitLog::open(Box::new(reboot(&victim)), restriction(), config(), None)
                 .unwrap_or_else(|e| panic!("{case}: compaction crash must not block reopen: {e}"));
         assert_eq!(report.end_epoch, end, "{case}: committed history lost");
-        let oracle = oracle_at(&journal, end);
+        let oracle = oracle_at(&events, end);
         assert_eq!(recovered.graph(), oracle.graph(), "{case}: graphs diverge");
         assert_eq!(recovered.stats(), oracle.stats(), "{case}: stats diverge");
     }
@@ -324,15 +338,15 @@ fn every_chain_byte_flip_fails_closed_or_truncates() {
         config(),
     )
     .expect("fresh log");
-    monitor.enable_journal();
-    drive(&mut monitor, &log, &trace, seed);
+    drive(&mut monitor, Some(&log), &trace, seed);
     log.persist().expect("clean flush");
-    let journal = monitor
-        .journal()
-        .expect("journal enabled")
-        .as_str()
-        .to_string();
+    let events = intended(&trace, seed);
     let end = log.end_epoch();
+    assert_eq!(
+        end,
+        events.len() as u64,
+        "the chain holds the whole history"
+    );
 
     let chain = store.read(CHAIN_FILE).expect("read").expect("chain exists");
     let mut refused = 0usize;
@@ -345,7 +359,7 @@ fn every_chain_byte_flip_fails_closed_or_truncates() {
             boxed.write_atomic(CHAIN_FILE, &forged).expect("tamper");
         }
         let case = format!("chain byte {pos} flipped");
-        if !assert_sound_recovery(&case, &tampered, &journal, end) {
+        if !assert_sound_recovery(&case, &tampered, &events, end) {
             refused += 1;
         }
     }
@@ -372,7 +386,7 @@ fn spliced_chain_files_fail_closed() {
             config(),
         )
         .expect("fresh log");
-        drive(&mut monitor, &log, &trace, seed);
+        drive(&mut monitor, Some(&log), &trace, seed);
         log.persist().expect("clean flush");
         stores.push(store);
     }
@@ -421,15 +435,15 @@ fn damaged_snapshots_fall_back_without_diverging() {
         config(),
     )
     .expect("fresh log");
-    monitor.enable_journal();
-    drive(&mut monitor, &log, &trace, seed);
+    drive(&mut monitor, Some(&log), &trace, seed);
     log.persist().expect("clean flush");
-    let journal = monitor
-        .journal()
-        .expect("journal enabled")
-        .as_str()
-        .to_string();
+    let events = intended(&trace, seed);
     let end = log.end_epoch();
+    assert_eq!(
+        end,
+        events.len() as u64,
+        "the chain holds the whole history"
+    );
     let snaps = log.snapshot_epochs();
     assert!(snaps.len() > 1, "interval snapshots exist");
     let newest = *snaps.last().expect("nonempty");
@@ -455,8 +469,54 @@ fn damaged_snapshots_fall_back_without_diverging() {
             report.snapshot_epoch < newest,
             "{case}: an older snapshot was used"
         );
-        let oracle = oracle_at(&journal, end);
+        let oracle = oracle_at(&events, end);
         assert_eq!(recovered.graph(), oracle.graph(), "{case}: graphs diverge");
         assert_eq!(recovered.stats(), oracle.stats(), "{case}: stats diverge");
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+    /// Random damage anywhere in a committed chain — garbage spans or bit
+    /// flips, one to three hits — never opens to a state outside the
+    /// committed history: recovery equals the oracle replay of a
+    /// committed prefix, or refuses. It never panics.
+    #[test]
+    fn corrupted_chains_recover_a_committed_prefix_or_refuse(
+        seed in 0u64..10_000,
+        len in 1usize..40,
+        hits in 1usize..4,
+        garbage in proptest::bool::ANY,
+    ) {
+        let (graph, levels) = seed_state();
+        let trace = adversarial_trace(&graph, &levels, len, seed);
+        let store = MemStore::new();
+        let (log, mut monitor) = CommitLog::create(
+            Box::new(store.clone()),
+            graph,
+            levels,
+            restriction(),
+            config(),
+        )
+        .expect("fresh log");
+        drive(&mut monitor, Some(&log), &trace, seed);
+        log.persist().expect("clean flush");
+        let events = intended(&trace, seed);
+        let end = log.end_epoch();
+
+        let kind = if garbage { CorruptionKind::Garbage } else { CorruptionKind::BitFlip };
+        let mut rng = Prng::seed_from_u64(seed.rotate_left(17) | 1);
+        let mut chain = store.read(CHAIN_FILE).expect("read").expect("chain exists");
+        for _ in 0..hits {
+            chain = corrupt_bytes(&chain, kind, &mut rng).0;
+        }
+        let tampered = reboot(&store);
+        {
+            let mut boxed: Box<dyn Store> = Box::new(tampered.clone());
+            boxed.write_atomic(CHAIN_FILE, &chain).expect("tamper");
+        }
+        let case = format!("seed {seed} len {len} {hits} x {kind:?}");
+        assert_sound_recovery(&case, &tampered, &events, end);
     }
 }

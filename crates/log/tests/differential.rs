@@ -1,18 +1,22 @@
 //! The 256-case differential suite: every state the commit log
 //! reconstructs (snapshot + chain-suffix replay) must be *identical* to
-//! the state the naive oracle produces by replaying the raw `TGJ1`
-//! journal prefix from the seed — across snapshot boundaries, with
-//! snapshots disabled, and after compaction.
+//! the state the naive oracle produces by replaying the recorded event
+//! prefix from the seed — across snapshot boundaries, with snapshots
+//! disabled, and after compaction.
 //!
-//! The live monitor journals through **both** paths at once (the PR 1
-//! plain journal and the hash-chained commit log), so journal record
-//! `k` and chain record `k` describe the same event, and "epoch `e`"
+//! A twin monitor (see `common`), driven by the same trace and schedule
+//! as the live one, captures every event in memory, so captured event
+//! `k` and chain record `k` describe the same decision and "epoch `e`"
 //! means the same cut in both histories. The oracle for epoch `e` is
-//! then `recover(seed, magic line + first e journal lines)`.
+//! then the seed folded through the first `e` captured events, with a
+//! batch open at the cut discarded.
 
+mod common;
+
+use common::Twin;
 use tg_analysis::can_know;
 use tg_graph::{ProtectionGraph, VertexId};
-use tg_hierarchy::journal::recover;
+use tg_hierarchy::journal::JournalEvent;
 use tg_hierarchy::structure::linear_hierarchy;
 use tg_hierarchy::{CombinedRestriction, LevelAssignment, Monitor};
 use tg_log::{CommitLog, LogConfig, LogError, MemStore, Store};
@@ -31,8 +35,9 @@ fn seed_state() -> (ProtectionGraph, LevelAssignment) {
 
 /// Mixes single applications with transactional batches so the history
 /// exercises `R`, `B`/`A`/`C` and `B`/`A`/`X` records, calling
-/// `maybe_snapshot` after every step the way the CLI service loop does.
-fn drive(monitor: &mut Monitor, log: &CommitLog, trace: &[Rule], seed: u64) {
+/// `maybe_snapshot` after every step the way the CLI service loop does
+/// (a twin has no log to snapshot).
+fn drive(monitor: &mut Monitor, log: Option<&CommitLog>, trace: &[Rule], seed: u64) {
     let mut rng = Prng::seed_from_u64(seed ^ 0x5EED);
     let mut i = 0;
     while i < trace.len() {
@@ -45,25 +50,24 @@ fn drive(monitor: &mut Monitor, log: &CommitLog, trace: &[Rule], seed: u64) {
             let _ = monitor.try_apply(&trace[i]);
             i += 1;
         }
-        log.maybe_snapshot(monitor).expect("snapshotting succeeds");
+        if let Some(log) = log {
+            log.maybe_snapshot(monitor).expect("snapshotting succeeds");
+        }
     }
 }
 
-/// The naive oracle: seed state folded through the first `epoch` raw
-/// journal records, via PR 1's `recover`.
-fn oracle_at(journal_text: &str, epoch: u64) -> Monitor {
-    let mut lines = journal_text.lines();
-    let magic = lines.next().expect("journal has a magic line");
-    let mut prefix = String::from(magic);
-    prefix.push('\n');
-    for line in lines.take(epoch as usize) {
-        prefix.push_str(line);
-        prefix.push('\n');
-    }
-    let (graph, levels) = seed_state();
-    let (monitor, _) = recover(graph, levels, restriction(), prefix.as_bytes())
-        .expect("a clean journal prefix recovers");
-    monitor
+/// The full history of `trace` under `seed`'s schedule, as a twin
+/// recorded it.
+fn intended(trace: &[Rule], seed: u64) -> Vec<JournalEvent> {
+    let mut twin = Twin::new(seed_state());
+    drive(&mut twin.monitor, None, trace, seed);
+    twin.events()
+}
+
+/// The naive oracle: seed state folded through the first `epoch`
+/// recorded events.
+fn oracle_at(events: &[JournalEvent], epoch: u64) -> Monitor {
+    common::oracle_at(seed_state(), events, epoch)
 }
 
 fn assert_state_matches(case: &str, ours: &Monitor, oracle: &Monitor) {
@@ -93,7 +97,7 @@ fn probes(end: u64) -> [u64; 4] {
 /// 16 seeds x 4 snapshot intervals x 4 probe epochs = 256 differential
 /// reconstructions.
 #[test]
-fn time_travel_matches_naive_journal_replay() {
+fn time_travel_matches_naive_event_replay() {
     let mut cases = 0usize;
     for seed in 0..16u64 {
         for interval in [0u64, 2, 5, 8] {
@@ -111,26 +115,21 @@ fn time_travel_matches_naive_journal_replay() {
                 config,
             )
             .expect("fresh log");
-            monitor.enable_journal();
-            drive(&mut monitor, &log, &trace, seed);
+            drive(&mut monitor, Some(&log), &trace, seed);
 
-            let journal = monitor
-                .journal()
-                .expect("journal enabled")
-                .as_str()
-                .to_string();
+            let events = intended(&trace, seed);
             let end = log.end_epoch();
             assert_eq!(
                 end,
-                journal.lines().count() as u64 - 1,
-                "chain and journal record the same history"
+                events.len() as u64,
+                "chain and twin record the same history"
             );
 
             for epoch in probes(end) {
                 let (ours, info) = log
                     .state_at(epoch, restriction())
                     .expect("committed epochs reconstruct");
-                let oracle = oracle_at(&journal, epoch);
+                let oracle = oracle_at(&events, epoch);
                 let case = format!("seed {seed} interval {interval} epoch {epoch}");
                 assert_state_matches(&case, &ours, &oracle);
                 assert!(
@@ -163,13 +162,8 @@ fn compaction_preserves_every_reachable_state() {
             config,
         )
         .expect("fresh log");
-        monitor.enable_journal();
-        drive(&mut monitor, &log, &trace, seed);
-        let journal = monitor
-            .journal()
-            .expect("journal enabled")
-            .as_str()
-            .to_string();
+        drive(&mut monitor, Some(&log), &trace, seed);
+        let events = intended(&trace, seed);
         let end = log.end_epoch();
 
         let report = log.compact(restriction()).expect("compaction proof holds");
@@ -181,7 +175,7 @@ fn compaction_preserves_every_reachable_state() {
             let (ours, _) = log
                 .state_at(epoch, restriction())
                 .expect("post-compaction epochs reconstruct");
-            let oracle = oracle_at(&journal, epoch);
+            let oracle = oracle_at(&events, epoch);
             assert_state_matches(
                 &format!("seed {seed} post-compaction epoch {epoch}"),
                 &ours,
@@ -220,7 +214,7 @@ fn forged_snapshot_state_fails_the_compaction_proof() {
         config,
     )
     .expect("fresh log");
-    drive(&mut monitor, &log, &trace, 7);
+    drive(&mut monitor, Some(&log), &trace, 7);
     let target = *log.snapshot_epochs().last().expect("snapshots exist");
     assert!(target > 0, "an interval snapshot exists to compact into");
 
@@ -267,7 +261,7 @@ fn snapshot_list_stays_sorted_across_torn_recovery() {
         config,
     )
     .expect("fresh log");
-    drive(&mut monitor, &log, &trace, 11);
+    drive(&mut monitor, Some(&log), &trace, 11);
     let newest = *log.snapshot_epochs().last().expect("snapshots exist");
     assert!(newest > 2, "interval snapshots exist above the tear point");
     drop(log);
@@ -337,13 +331,8 @@ fn read_only_open_heals_in_memory_only() {
         config,
     )
     .expect("fresh log");
-    monitor.enable_journal();
-    drive(&mut monitor, &log, &trace, 5);
-    let journal = monitor
-        .journal()
-        .expect("journal enabled")
-        .as_str()
-        .to_string();
+    drive(&mut monitor, Some(&log), &trace, 5);
+    let events = intended(&trace, 5);
     drop(log);
 
     // Tear the tail; a read-only open must truncate in memory only.
@@ -374,7 +363,7 @@ fn read_only_open_heals_in_memory_only() {
     let (ours, _) = rlog
         .state_at(report.end_epoch, restriction())
         .expect("reconstructs");
-    let oracle = oracle_at(&journal, report.end_epoch);
+    let oracle = oracle_at(&events, report.end_epoch);
     assert_state_matches("read-only torn reopen", &ours, &oracle);
 
     // ...and every write path refuses.
@@ -408,8 +397,7 @@ fn reopen_round_trips_and_bounds_replay() {
                 config,
             )
             .expect("fresh log");
-            monitor.enable_journal();
-            drive(&mut monitor, &log, &trace, seed);
+            drive(&mut monitor, Some(&log), &trace, seed);
             let end = log.end_epoch();
             drop(log);
 

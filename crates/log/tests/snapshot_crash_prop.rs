@@ -2,11 +2,14 @@
 //! writer at a random byte offset of the temp-file write or at the
 //! rename tick, over random traces — recovery must always equal the
 //! last committed state. (The exhaustive single-trace sweep lives in
-//! `crash_matrix.rs`; this randomizes the history too.)
+//! `crash_matrix.rs`; this randomizes the history too.) The oracle is
+//! the event replay of `common`.
 
+mod common;
+
+use common::{oracle_at, Twin};
 use proptest::prelude::*;
 use tg_graph::ProtectionGraph;
-use tg_hierarchy::journal::recover;
 use tg_hierarchy::structure::linear_hierarchy;
 use tg_hierarchy::{CombinedRestriction, LevelAssignment};
 use tg_log::{CommitLog, LogConfig, MemStore, Store};
@@ -65,12 +68,13 @@ proptest! {
             config(),
         )
         .expect("fresh log");
-        monitor.enable_journal();
+        let mut twin = Twin::new(seed_state());
         for rule in &trace {
             let _ = monitor.try_apply(rule);
+            let _ = twin.monitor.try_apply(rule);
         }
         log.persist().expect("clean flush");
-        let journal = monitor.journal().expect("journal enabled").as_str().to_string();
+        let events = twin.events();
         let end = log.end_epoch();
 
         // Size the snapshot write on a probe copy: `len` temp bytes
@@ -103,9 +107,7 @@ proptest! {
             CommitLog::open(Box::new(reboot(&victim)), restriction(), config(), None)
                 .expect("a crashed snapshot never blocks recovery");
         prop_assert_eq!(report.end_epoch, end, "committed history lost");
-        let (g, l) = seed_state();
-        let (oracle, _) = recover(g, l, restriction(), journal.as_bytes())
-            .expect("full journal recovers");
+        let oracle = oracle_at(seed_state(), &events, end);
         prop_assert_eq!(recovered.graph(), oracle.graph(), "graphs diverge");
         prop_assert_eq!(recovered.levels(), oracle.levels(), "levels diverge");
         prop_assert_eq!(recovered.stats(), oracle.stats(), "stats diverge");

@@ -2,8 +2,10 @@
 //!
 //! Ids are **stable**: they appear in persisted traces (`tgq trace`
 //! output, `BENCH_obs.json`) and must never be renumbered — new points
-//! are appended with fresh ids. Each entry documents the paper result it
-//! makes observable, mirroring the `RULES` table of `tg-lint`.
+//! are appended with fresh ids, and a point whose instrumented code is
+//! gone stays in the catalog as *retired* (never emitted). Each entry
+//! documents the paper result it makes observable, mirroring the
+//! `RULES` table of `tg-lint`.
 
 /// One kind of timed region. The discriminant is the span's stable id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -16,9 +18,11 @@ pub enum SpanKind {
     MonitorBatch = 1,
     /// The inverse-effect rollback of a failed batch.
     MonitorRollback = 2,
-    /// One write-ahead journal append (before any mutation).
+    /// Retired, never emitted: one append to the former `TGJ1` journal.
+    /// Event appends are timed as [`SpanKind::LogCommit`].
     JournalWrite = 3,
-    /// `journal::recover`: parse, verify and replay a journal.
+    /// Retired, never emitted: recovery of the former `TGJ1` journal.
+    /// Recovery is timed as [`SpanKind::LogRecover`].
     JournalRecover = 4,
     /// One whole-graph audit (Corollary 5.6 scan, or the maintained-set
     /// read when an incremental index is attached).
@@ -196,8 +200,8 @@ impl SpanKind {
             SpanKind::MonitorApply => "one rule through the monitor (Cor 5.7 check + commit)",
             SpanKind::MonitorBatch => "one transactional rule batch",
             SpanKind::MonitorRollback => "inverse-effect rollback of a failed batch",
-            SpanKind::JournalWrite => "one write-ahead journal append",
-            SpanKind::JournalRecover => "journal parse, verify and replay",
+            SpanKind::JournalWrite => "retired, never emitted (was the TGJ1 journal append)",
+            SpanKind::JournalRecover => "retired, never emitted (was TGJ1 journal recovery)",
             SpanKind::MonitorAudit => "whole-graph audit (Cor 5.6 scan or maintained-set read)",
             SpanKind::MonitorQuarantine => "strip-and-reaudit repair cycle",
             SpanKind::IncBuild => "the one full scan building the incremental index",
@@ -255,7 +259,8 @@ pub enum Counter {
     MonitorQuarantined = 4,
     /// Returns from degraded mode to clean service.
     MonitorRecoveries = 5,
-    /// Records appended to the write-ahead journal.
+    /// Retired, never emitted: records appended to the former `TGJ1`
+    /// journal. Chain records are counted as [`Counter::LogCommits`].
     JournalRecords = 6,
     /// Per-edge restriction rechecks (Corollary 5.7 applications) in the
     /// incremental index.
@@ -408,7 +413,7 @@ impl Counter {
             Counter::MonitorRefused => "de jure rules refused while degraded (fail closed)",
             Counter::MonitorQuarantined => "violating edges stripped by quarantine",
             Counter::MonitorRecoveries => "returns from degraded mode to clean service",
-            Counter::JournalRecords => "write-ahead journal records appended",
+            Counter::JournalRecords => "retired, never emitted (was TGJ1 journal records)",
             Counter::IncEdgeChecks => "per-edge restriction rechecks (Cor 5.7 per mutation)",
             Counter::IncIslandUnions => "island union-find merges (paper section 2)",
             Counter::IncIslandRebuilds => "island rebuilds after a t/g cut (Thm 5.2 islands)",

@@ -1,7 +1,8 @@
 //! A compact, dependency-free text encoding of rules and derivations.
 //!
 //! The workspace builds offline, so instead of serde the persistence layer
-//! (the monitor's write-ahead journal in `tg-hierarchy`) uses this codec:
+//! (the monitor's event stream in `tg-hierarchy`, stored by the `tg-log`
+//! commit log) uses this codec:
 //! one rule per line, space-separated fields, names percent-escaped so a
 //! record never contains a raw newline. The format is stable and
 //! self-describing enough to hand-edit:

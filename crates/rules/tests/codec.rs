@@ -1,5 +1,5 @@
 //! Codec round trips for rules and derivations — the on-disk form the
-//! monitor's write-ahead journal logs and replays.
+//! monitor's commit log records and replays.
 
 use tg_graph::{ProtectionGraph, Rights, VertexId, VertexKind};
 use tg_rules::codec::{decode_derivation, decode_rule, encode_derivation, encode_rule};

@@ -1,12 +1,14 @@
 //! Fault injection for the reference monitor's crash-safety story.
 //!
-//! Three fault classes, matching the threats a deployed monitor faces:
+//! Four fault classes, matching the threats a deployed monitor faces:
 //!
-//! * **Journal corruption** ([`corrupt_bytes`], [`CorruptionKind`]) —
-//!   bit flips, truncation mid-record (a torn write), and garbage
-//!   insertion, applied to the raw journal bytes. Recovery must either
-//!   survive (torn tail) or fail closed (mid-log damage), never silently
-//!   accept a tampered history.
+//! * **Crashes mid-write** ([`CrashPlan`]) — a writer killed at one
+//!   exact byte, leaving a torn tail. Recovery must truncate it and
+//!   reach exactly the committed state.
+//! * **Log corruption** ([`corrupt_bytes`], [`CorruptionKind`]) — bit
+//!   flips and garbage insertion, applied to the raw bytes of a
+//!   commit-log chain. Recovery must either reach a committed prefix or
+//!   fail closed, never silently accept a tampered history.
 //! * **Out-of-band graph tampering** ([`tamper_graph`]) — explicit `r`/`w`
 //!   edges written into the protection graph *around* the rule interface,
 //!   the attack Bishop's linear audit (Cor 5.6) exists to catch.
@@ -37,7 +39,7 @@ pub enum WriteFate {
 /// plan counts bytes (or whole writes) until its budget runs out, then
 /// *trips*: the offending write lands partially and every later write is
 /// refused outright, modelling a process killed at one exact point. One
-/// plan is shared by the journal-, snapshot- and compaction-crash test
+/// plan is shared by the commit-, snapshot- and compaction-crash test
 /// matrices, so "kill at byte `k`" means the same thing in all three.
 ///
 /// Sweeping `kill_after_bytes(k)` for every `k` up to the total bytes
@@ -130,8 +132,6 @@ impl CrashPlan {
 pub enum CorruptionKind {
     /// Flip a single bit somewhere in the buffer.
     BitFlip,
-    /// Drop a suffix of the buffer, as after a crash mid-append.
-    TornTail,
     /// Overwrite a span with arbitrary bytes.
     Garbage,
 }
@@ -150,11 +150,6 @@ pub fn corrupt_bytes(bytes: &[u8], kind: CorruptionKind, rng: &mut Prng) -> (Vec
             let pos = rng.below(out.len());
             out[pos] ^= 1 << rng.below(8);
             (out, pos)
-        }
-        CorruptionKind::TornTail => {
-            let keep = rng.below(out.len());
-            out.truncate(keep);
-            (out, keep)
         }
         CorruptionKind::Garbage => {
             let pos = rng.below(out.len());
@@ -317,17 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_only_truncates() {
-        let bytes = sample_bytes();
-        let mut rng = Prng::seed_from_u64(2);
-        for _ in 0..50 {
-            let (out, keep) = corrupt_bytes(&bytes, CorruptionKind::TornTail, &mut rng);
-            assert_eq!(out.len(), keep);
-            assert_eq!(&bytes[..keep], &out[..]);
-        }
-    }
-
-    #[test]
     fn garbage_stays_in_bounds() {
         let bytes = sample_bytes();
         let mut rng = Prng::seed_from_u64(3);
@@ -340,11 +324,7 @@ mod tests {
     #[test]
     fn empty_buffers_survive_all_kinds() {
         let mut rng = Prng::seed_from_u64(4);
-        for kind in [
-            CorruptionKind::BitFlip,
-            CorruptionKind::TornTail,
-            CorruptionKind::Garbage,
-        ] {
+        for kind in [CorruptionKind::BitFlip, CorruptionKind::Garbage] {
             let (out, pos) = corrupt_bytes(&[], kind, &mut rng);
             assert!(out.is_empty());
             assert_eq!(pos, 0);

@@ -11,7 +11,7 @@
 //!   executable scenario with its expected facts.
 //! * [`prng`] — the deterministic in-tree random-number generator behind
 //!   [`gen`] and [`faults`] (no external `rand` dependency).
-//! * [`faults`] — fault injection: adversarial traces, journal byte
+//! * [`faults`] — fault injection: adversarial traces, log byte
 //!   corruption, deterministic crash schedules ([`faults::CrashPlan`])
 //!   for write-path kill-point matrices, and out-of-band graph/level
 //!   tampering for testing the monitor's crash-safety and fail-closed

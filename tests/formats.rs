@@ -1,5 +1,5 @@
 //! Interchange-format round trips through the public facade: the text
-//! format, DOT, and the rule codec behind the monitor journal.
+//! format, DOT, and the rule codec behind the monitor's commit log.
 
 use proptest::prelude::*;
 use take_grant::graph::{parse_graph, render_graph, DotOptions, ProtectionGraph, Rights, VertexId};
